@@ -10,10 +10,18 @@ executor statement by statement, in both value semantics and accounting:
 * **values** -- scalar C types and promotions replicate
   ``Interpreter._binop``/``_unop`` under NumPy's value-based (NEP 50)
   promotion, including the weak/strong distinction between per-thread
-  Python ints and typed array elements; ``//``/``%`` use floor-division
-  helpers (C truncates, Python floors); ``sqrt`` maps to the
-  correctly-rounded ``sqrtf``/``sqrt``.  Constructs whose libm result
-  can drift from NumPy's (``exp``/``log``/``pow``) are rejected.
+  Python ints and typed array elements; ``min``/``max`` select like
+  Python (``y`` only when strictly less/greater) at the operands'
+  promoted type, the one static type every tier gives them;
+  ``//``/``%`` use floor-division helpers (C truncates, Python floors);
+  ``sqrt`` maps to the correctly-rounded ``sqrtf``/``sqrt``.  Constructs
+  whose libm result can drift from NumPy's (``exp``/``log``/``pow``)
+  are rejected.
+* **ABI** -- ``repro_kernel(W, ia, fa, bufs, C)``: ``ia``, ``fa`` and
+  the counter block ``C`` are ``restrict`` (the engine makes three
+  distinct arrays per launch), so counter stores never force the LMAD
+  arguments to be reloaded; the data buffers in ``bufs`` may alias one
+  another and stay unqualified.
 * **accounting** -- every simulated counter the interpreter would bump
   (per-kernel bytes/flops, copy elisions, allocation counts) accumulates
   in a flat ``C`` array of per-site counter slots that the engine folds
@@ -605,11 +613,8 @@ class _Emitter:
             fn = "repro_fdiv" if op == "//" else "repro_fmod"
             return self._bind_local(f"{fn}({xc}, {yc})", dt, weak)
         if op in ("min", "max"):
-            # Python min/max return an *operand* (no conversion), so the
-            # result dtype would be value-dependent under mixed operand
-            # types; only the homogeneous case is exactly expressible.
-            if x.dtype != y.dtype or x.weak != y.weak:
-                raise Reject("mixed-type min/max")
+            # The interpreter's selection (y only when strictly less /
+            # greater) at the promoted type, like every other binop.
             cmp = "<" if op == "min" else ">"
             return self._bind_local(
                 f"({yc} {cmp} {xc}) ? {yc} : {xc}", dt, weak
@@ -1231,8 +1236,9 @@ def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
         "#include <math.h>\n"
         "#include <stdlib.h>\n\n"
         f"{_HELPERS}\n"
-        "void repro_kernel(long long W, const long long* ia, "
-        "const double* fa, char** bufs, long long* C) {\n"
+        "void repro_kernel(long long W, const long long* restrict ia, "
+        "const double* restrict fa, char** bufs, "
+        "long long* restrict C) {\n"
         "    (void)ia; (void)fa; (void)bufs; (void)C;\n"
         f"{body}\n"
         "}\n"

@@ -15,9 +15,9 @@ per launch).  The compiled entry point is cached by source digest
 (:mod:`repro.backend.build`); the per-statement plan is shared across
 all executors of a :class:`repro.runtime.Program`, exactly like the
 vectorized dispatch plans.  A statement whose subtree the emitter
-rejects is marked and never attempted again; a launch whose concrete
-structure no longer matches the plan (a rank or scalar-kind change)
-falls back for that launch only.
+rejects is marked :class:`Rejected`, keeping the reason, and is never
+attempted again; a launch whose concrete structure no longer matches
+the plan (a rank or scalar-kind change) falls back for that launch only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from __future__ import annotations
 import ctypes
 import threading
 import time
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -34,8 +35,16 @@ from repro.backend.cemit import SLOTS, KernelSpec, Reject, emit_kernel
 from repro.ir.interp import InterpError, eval_sym
 from repro.ir.types import DTYPE_INFO
 
-#: Plan sentinel: the emitter rejected this statement's subtree.
-REJECTED = object()
+
+@dataclass(frozen=True)
+class Rejected:
+    """Plan marker: this statement's subtree never runs natively.
+
+    ``reason`` is the :class:`Reject` or :class:`~repro.backend.build.
+    BuildError` message, kept so a fallback can be explained later.
+    """
+
+    reason: str
 
 
 class _Mismatch(Exception):
@@ -55,7 +64,7 @@ class NativeEngine:
     """Shared native-tier state: dispatch plans + compiled kernels."""
 
     def __init__(self, plans: Optional[Dict[int, object]] = None):
-        #: id(stmt) -> KernelSpec | REJECTED (shared per Program, like
+        #: id(stmt) -> KernelSpec | Rejected (shared per Program, like
         #: the vectorized dispatch plans).
         self.plans: Dict[int, object] = plans if plans is not None else {}
         self._lock = threading.Lock()
@@ -67,12 +76,10 @@ class NativeEngine:
         if ex.shared_memory_model:
             return False
         plan = self.plans.get(id(stmt))
-        if plan is REJECTED:
-            return False
         if plan is None:
             plan = self._emit(ex, stmt, exp, env, dests)
-            if plan is REJECTED:
-                return False
+        if isinstance(plan, Rejected):
+            return False
         try:
             self._launch(plan, ex, env, width, dests)
         except (_Mismatch, InterpError):
@@ -92,11 +99,17 @@ class NativeEngine:
                 spec.fn = fn
                 spec.digest = digest
                 plan = spec
-            except (Reject, build.BuildError):
-                plan = REJECTED
+            except (Reject, build.BuildError) as e:
+                plan = Rejected(str(e))
             self.codegen_seconds += time.perf_counter() - t0
             self.plans[id(stmt)] = plan
             return plan
+
+    def reject_reasons(self) -> List[str]:
+        """Distinct reasons of every statement that stays off this tier."""
+        return sorted(
+            {p.reason for p in self.plans.values() if isinstance(p, Rejected)}
+        )
 
     # ------------------------------------------------------------------
     def _launch(self, spec: KernelSpec, ex, env, width, dests) -> None:

@@ -34,6 +34,7 @@ from repro.bench.harness import (
     measure_engine,
     measure_footprint,
     measure_fusion,
+    native_report,
     run_table,
 )
 from repro.bench.programs import all_benchmarks
@@ -356,13 +357,9 @@ def main(argv=None) -> int:
             native = engine["native"]
             if native is not None:
                 native_measured += 1
-                if native["native_speedup"] > 1.0:
+                if native["native_launches"] and native["native_speedup"] > 1.0:
                     native_wins += 1
-                print(f"native: {native['native_s'] * 1000:.2f}ms warm = "
-                      f"{native['native_speedup']:.1f}x over vec  "
-                      f"(coverage {native['native_hit_rate']:.2f}, "
-                      f"{native['native_launches']} launches, "
-                      f"codegen {native['codegen_s']:.2f}s)")
+                print(native_report(native))
                 if not (native["outputs_equal"] and native["stats_equal"]
                         and native["footprint_equal"]):
                     print(f"NATIVE DIFFERENTIAL FAILED: {native}",

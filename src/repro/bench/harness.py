@@ -233,12 +233,32 @@ def measure_engine(module, args: Sequence, compiled=None) -> Dict[str, object]:
             "native_hit_rate": ex_n.stats.native_hit_rate,
             "native_launches": ex_n.stats.native_launches,
             "codegen_s": eng.codegen_seconds,
+            "reject_reasons": eng.reject_reasons(),
             "outputs_equal": native_outputs_equal,
             "stats_equal": ex_i.stats.signature() == ex_n.stats.signature(),
             "peak_bytes_native": ex_n.stats.peak_bytes,
             "footprint_equal": ex_n.stats.peak_bytes == est.peak_bytes,
         }
     return out
+
+
+def native_report(native: Dict[str, object]) -> str:
+    """The ``native:`` line for one :func:`measure_engine` result.
+
+    With no native launch there is no native time to compare, so the
+    line says why the kernels fell back instead of printing a ratio.
+    """
+    reasons = "; ".join(native["reject_reasons"])
+    if native["native_launches"] == 0:
+        return f"native: n/a (0 launches: {reasons or 'no launch lowered'})"
+    line = (f"native: {native['native_s'] * 1000:.2f}ms warm = "
+            f"{native['native_speedup']:.1f}x over vec  "
+            f"(coverage {native['native_hit_rate']:.2f}, "
+            f"{native['native_launches']} launches, "
+            f"codegen {native['codegen_s']:.2f}s)")
+    if reasons:
+        line += f"  fallback: {reasons}"
+    return line
 
 
 def measure_fusion(

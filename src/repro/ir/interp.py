@@ -208,10 +208,10 @@ class Interpreter:
             return x // y
         if op == "%":
             return x % y
-        if op == "min":
-            return min(x, y) if np.isscalar(x) or x.ndim == 0 else np.minimum(x, y)
-        if op == "max":
-            return max(x, y) if np.isscalar(x) or x.ndim == 0 else np.maximum(x, y)
+        if op in ("min", "max"):
+            if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+                return np.minimum(x, y) if op == "min" else np.maximum(x, y)
+            return _minmax(op, x, y)
         if op == "pow":
             return x**y
         if op == "<":
@@ -339,6 +339,22 @@ class Interpreter:
 def run_fun(fun: A.Fun, check_lmad_updates: bool = True, **inputs) -> List[object]:
     """One-shot convenience: interpret ``fun`` on the given inputs."""
     return Interpreter(fun, check_lmad_updates=check_lmad_updates).run(**inputs)
+
+
+def _minmax(op: str, x, y):
+    """Scalar ``min``/``max`` with one static result type.
+
+    The *value* is Python's selection (``y`` only when strictly less /
+    greater, so ties and NaNs keep ``x``); the *type* is the operands'
+    promoted type -- the type ``x + y`` has under NEP 50, weak only when
+    both operands are weak -- so it never depends on which operand won.
+    Two operands of one type keep it (``bool`` stays ``bool``).
+    """
+    pick = y if (y < x if op == "min" else y > x) else x
+    tx, ty = type(x), type(y)
+    if tx is ty:
+        return pick
+    return type(tx() + ty())(pick)
 
 
 def _np_scalar(value, dtype: str):

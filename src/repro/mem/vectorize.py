@@ -59,6 +59,18 @@ from repro.mem.memir import MemBinding, binding_of
 LANE_VAR = "__lane__"
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _float_dtype(v):
+    """The dtype of a float operand (array, NumPy or Python scalar)."""
+    if isinstance(v, (np.ndarray, np.floating)):
+        return v.dtype if v.dtype.kind == "f" else None
+    if isinstance(v, float):
+        return _F64
+    return None
+
+
 class _Reject(Exception):
     """Internal: the map body is not expressible in the vectorized engine."""
 
@@ -989,22 +1001,12 @@ class _VecRun:
         """Mimic per-thread weak scalar promotion for int lane vectors.
 
         In the interpreter, integer scalars are *Python* ints, so mixing
-        one into float32 arithmetic stays float32 (NEP 50 weak promotion).
-        The batched equivalent is an int64 lane vector, which NumPy would
-        promote to float64 -- so cast int vectors to the float operand's
-        dtype before the op.
+        one into float32 arithmetic or ``min``/``max`` stays float32 (NEP
+        50 weak promotion).  The batched equivalent is an int64 lane
+        vector, which NumPy would promote to float64 -- so cast int
+        vectors to the float operand's dtype before the op.
         """
-
-        def float_dtype(v):
-            if isinstance(v, np.ndarray) and v.dtype.kind == "f":
-                return v.dtype
-            if isinstance(v, np.floating):
-                return v.dtype
-            if isinstance(v, float):
-                return np.dtype(np.float64)
-            return None
-
-        fx, fy = float_dtype(x), float_dtype(y)
+        fx, fy = _float_dtype(x), _float_dtype(y)
         if isinstance(x, np.ndarray) and x.dtype.kind in "iub" and fy is not None:
             x = x.astype(fy)
         if isinstance(y, np.ndarray) and y.dtype.kind in "iub" and fx is not None:
@@ -1015,7 +1017,7 @@ class _VecRun:
     def _vec_binop(cls, op: str, x, y):
         if not isinstance(x, np.ndarray) and not isinstance(y, np.ndarray):
             return Interpreter._binop(op, x, y)
-        if op in ("+", "-", "*", "/", "//", "%", "pow"):
+        if op in ("+", "-", "*", "/", "//", "%", "pow", "min", "max"):
             x, y = cls._weak_promote(x, y)
             if op == "+":
                 return x + y
@@ -1029,11 +1031,11 @@ class _VecRun:
                 return x // y
             if op == "%":
                 return x % y
+            if op == "min":
+                return np.minimum(x, y)
+            if op == "max":
+                return np.maximum(x, y)
             return x**y
-        if op == "min":
-            return np.minimum(x, y)
-        if op == "max":
-            return np.maximum(x, y)
         if op == "<":
             return x < y
         if op == "<=":

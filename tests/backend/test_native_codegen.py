@@ -33,7 +33,7 @@ def _fused_specs(fun, engine):
 
 
 def test_fused_two_stage_pipeline_is_single_loop():
-    # Seed 2 lowers fully (no mixed-kind min/max) and fuses.
+    # Seed 2 fuses, and its fused kernel lowers to C.
     fun = compile_fun(
         random_two_stage_pipeline(np.random.RandomState(2)),
         pipeline="full",
@@ -65,9 +65,7 @@ def test_fused_benchmark_kernel_is_single_loop():
         assert spec.source.count("for (") == 1, spec.source
 
 
-def test_counter_stores_present():
-    """The emitted C charges the simulated counters itself -- traffic
-    accounting is compiled in, not replayed in Python."""
+def _seed2_spec():
     fun = compile_fun(
         random_two_stage_pipeline(np.random.RandomState(2)),
         pipeline="full",
@@ -77,6 +75,25 @@ def test_counter_stores_present():
     data = np.random.RandomState(0)
     ex.run(n=33, xs=data.randn(33).astype(np.float32))
     (spec,) = _fused_specs(fun, eng)
+    return spec
+
+
+def test_counter_stores_present():
+    """The emitted C charges the simulated counters itself -- traffic
+    accounting is compiled in, not replayed in Python."""
+    spec = _seed2_spec()
     assert "C[1] +=" in spec.source  # bytes read
     assert "C[2] +=" in spec.source  # bytes written
     assert "C[3] +=" in spec.source  # flops
+
+
+def test_signature_restricts_arguments_not_buffers():
+    """``ia``, ``fa`` and ``C`` are distinct arrays made fresh per launch,
+    so they are ``restrict`` (counter stores cannot alias the LMAD
+    arguments); data buffers may alias each other and stay unqualified."""
+    src = _seed2_spec().source
+    assert (
+        "void repro_kernel(long long W, const long long* restrict ia, "
+        "const double* restrict fa, char** bufs, long long* restrict C)"
+    ) in src
+    assert "restrict bufs" not in src

@@ -4,10 +4,10 @@ The 30-seed random two-stage pipelines from ``tests/opt`` exercise the
 emitter over a much wider space of scalar expressions and LMAD read
 patterns (reflected indices, double read sites) than the hand-written
 benchmarks.  Every seed must be bit-identical between the native tier
-and the interpreter; the seeds whose scalar code avoids
-``min``/``max`` over mixed scalar kinds (Python semantics make those
-data-dependently *typed*, so the emitter refuses them and the
-vectorized tier serves the launch) must actually lower to C.
+and the interpreter, and every seed must actually lower to C: ``min``/
+``max`` over mixed scalar kinds has one static result type (the
+operands' promoted type) in every tier, so nothing in the corpus is
+outside the native set.
 """
 
 import numpy as np
@@ -55,8 +55,7 @@ def test_corpus_native_matches_interpreter(seed):
 
 
 def test_corpus_coverage():
-    """Every seed either lowers fully or falls back for the one
-    documented reason; a fixed-seed corpus lowers deterministically."""
+    """Every seed of the fixed-seed corpus lowers fully to C."""
     lowered = 0
     for seed in SEEDS:
         fun = compile_fun(
@@ -67,4 +66,4 @@ def test_corpus_coverage():
         assert stats.native_launches or stats.vec_launches, seed
         if stats.native_launches and not stats.vec_launches:
             lowered += 1
-    assert lowered >= 5, lowered
+    assert lowered == len(SEEDS), lowered

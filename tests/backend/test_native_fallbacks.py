@@ -160,6 +160,28 @@ def test_structure_mismatch_falls_back_per_launch():
         )
 
 
+# -- reject reasons -----------------------------------------------------
+@needs_cc
+def test_reject_reason_is_kept_and_reported(monkeypatch):
+    """A rejected statement keeps the emitter's message, and a benchmark
+    with no native launch reports that reason instead of a speed ratio."""
+    import repro.backend.engine as engine
+    from repro.backend.cemit import Reject
+    from repro.bench.harness import measure_engine, native_report
+
+    def refuse(*args, **kwargs):
+        raise Reject("forced for the test")
+
+    monkeypatch.setattr(engine, "emit_kernel", refuse)
+    mod, _ = _nn()
+    native = measure_engine(mod, mod.TEST_DATASETS["small"])["native"]
+    assert native["native_launches"] == 0
+    assert native["reject_reasons"] == ["forced for the test"]
+    assert native_report(native) == (
+        "native: n/a (0 launches: forced for the test)"
+    )
+
+
 # -- stats bookkeeping --------------------------------------------------
 def test_tier_counters_stay_out_of_signature():
     s = ExecStats()
